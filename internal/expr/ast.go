@@ -57,6 +57,26 @@ func (o Op) String() string {
 	return "?"
 }
 
+// Holds reports whether l o r is true. It is the comparison semantics of
+// Cmp.Eval, shared with compiled evaluators so both agree by construction.
+func (o Op) Holds(l, r Value) bool {
+	switch o {
+	case OpEq:
+		return l.Equal(r)
+	case OpNe:
+		return !l.Equal(r)
+	case OpLt:
+		return l.Compare(r) < 0
+	case OpGt:
+		return l.Compare(r) > 0
+	case OpLe:
+		return l.Compare(r) <= 0
+	case OpGe:
+		return l.Compare(r) >= 0
+	}
+	return false
+}
+
 // Node is a parsed condition expression.
 type Node interface {
 	// Eval evaluates the node against env. A missing reference is not an
@@ -124,21 +144,7 @@ func (c *Cmp) Eval(env Env) bool {
 	if !ok {
 		return false
 	}
-	switch c.Op {
-	case OpEq:
-		return l.Equal(r)
-	case OpNe:
-		return !l.Equal(r)
-	case OpLt:
-		return l.Compare(r) < 0
-	case OpGt:
-		return l.Compare(r) > 0
-	case OpLe:
-		return l.Compare(r) <= 0
-	case OpGe:
-		return l.Compare(r) >= 0
-	}
-	return false
+	return c.Op.Holds(l, r)
 }
 
 // Refs implements Node.

@@ -92,3 +92,34 @@ func TestEvaluateAllCacheTrimKeepsWorkingSet(t *testing.T) {
 		t.Errorf("repeat evaluateAll recomputed trees: Evaluations = %d, want 20", gp.eval.Evaluations)
 	}
 }
+
+// TestEvaluateCacheCollisionIsAMiss forces a fitness-cache key collision:
+// a resident entry under tree's key but holding another tree's shape must
+// never be returned for tree, on either the Evaluate or the batch path.
+func TestEvaluateCacheCollisionIsAMiss(t *testing.T) {
+	gp, err := New(testProblem(), DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := gp.eval
+	tree := perfectPlan()
+	want := ev.evaluateOnly(tree)
+	key, _ := ev.shape(tree)
+	_, other := ev.shape(plantree.Activity("POD"))
+	fake := Evaluation{Fitness: -1}
+	ev.cache[key] = cacheEntry{shape: append([]byte(nil), other...), eval: fake}
+
+	if got := ev.Evaluate(tree); got != want {
+		t.Fatalf("Evaluate over a colliding entry = %+v, want %+v", got, want)
+	}
+	pop := []Individual{{Tree: tree}, {Tree: tree.Clone()}}
+	gp.evaluateAll(context.Background(), pop)
+	for i, ind := range pop {
+		if ind.Eval != want {
+			t.Errorf("evaluateAll individual %d = %+v, want %+v", i, ind.Eval, want)
+		}
+	}
+	if c := ev.cache[key]; c.eval != fake {
+		t.Errorf("colliding insert replaced the resident entry: %+v", c.eval)
+	}
+}

@@ -1,7 +1,9 @@
 package planner
 
 import (
-	"repro/internal/expr"
+	"bytes"
+	"encoding/binary"
+
 	"repro/internal/plantree"
 	"repro/internal/workflow"
 )
@@ -32,12 +34,17 @@ const defaultCacheLimit = 1 << 17
 type Evaluator struct {
 	problem *workflow.Problem
 	params  Params
-	goals   []expr.Node
-	cache   map[string]Evaluation
+	goal    *workflow.GoalCheck
+	initial workflow.ItemList // the initial state, in name order
+	// cache is keyed by the hash of the tree's structural encoding (shape);
+	// each entry keeps the encoding, so a hit is confirmed structurally and
+	// a hash collision can never return another tree's result.
+	cache    map[uint64]cacheEntry
+	shapeBuf []byte // shape's scratch encoding
 	// order lists the cached keys in insertion order, so trimming can evict
 	// the oldest half instead of wiping the whole cache (a full wipe forces
 	// the next generation to re-evaluate its entire population).
-	order      []string
+	order      []uint64
 	cacheLimit int
 
 	// Evaluations counts cache-missing evaluations performed.
@@ -52,20 +59,21 @@ func NewEvaluator(problem *workflow.Problem, params Params) (*Evaluator, error) 
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	ev := &Evaluator{
+	return &Evaluator{
 		problem:    problem,
 		params:     params,
-		cache:      make(map[string]Evaluation),
+		goal:       problem.Goal.Check(),
+		initial:    problem.Initial.Items(),
+		cache:      make(map[uint64]cacheEntry),
 		cacheLimit: defaultCacheLimit,
-	}
-	for _, c := range problem.Goal.Conditions {
-		n, err := expr.Parse(c)
-		if err != nil {
-			return nil, err
-		}
-		ev.goals = append(ev.goals, n)
-	}
-	return ev, nil
+	}, nil
+}
+
+// cacheEntry is one cached evaluation with the structural encoding of the
+// tree it belongs to.
+type cacheEntry struct {
+	shape []byte
+	eval  Evaluation
 }
 
 // decisionPoint is one selective or iterative node, whose flow choice is
@@ -77,22 +85,37 @@ type decisionPoint struct {
 
 // Evaluate scores the tree.
 func (ev *Evaluator) Evaluate(tree *plantree.Node) Evaluation {
-	key := tree.String()
-	if e, ok := ev.cache[key]; ok {
+	key, shape := ev.shape(tree)
+	if e, ok := ev.cached(key, shape); ok {
 		return e
 	}
 	e := ev.evaluateOnly(tree)
 	ev.Evaluations++
-	ev.cacheAdd(key, e)
+	ev.cacheAdd(key, shape, e)
 	return e
 }
 
-// cacheAdd stores one result and trims the cache if it outgrew the limit.
-func (ev *Evaluator) cacheAdd(key string, e Evaluation) {
-	if _, dup := ev.cache[key]; !dup {
-		ev.order = append(ev.order, key)
+// cached returns the cached evaluation of the tree with this shape and key.
+func (ev *Evaluator) cached(key uint64, shape []byte) (Evaluation, bool) {
+	c, ok := ev.cache[key]
+	if !ok || !bytes.Equal(c.shape, shape) {
+		return Evaluation{}, false
 	}
-	ev.cache[key] = e
+	return c.eval, true
+}
+
+// cacheAdd stores one result and trims the cache if it outgrew the limit.
+// On a hash collision the resident entry stays and the new tree goes
+// uncached.
+func (ev *Evaluator) cacheAdd(key uint64, shape []byte, e Evaluation) {
+	if c, dup := ev.cache[key]; dup {
+		if bytes.Equal(c.shape, shape) {
+			ev.cache[key] = cacheEntry{shape: c.shape, eval: e}
+		}
+		return
+	}
+	ev.order = append(ev.order, key)
+	ev.cache[key] = cacheEntry{shape: bytes.Clone(shape), eval: e}
 	ev.trimCache()
 }
 
@@ -111,6 +134,31 @@ func (ev *Evaluator) trimCache() {
 	ev.order = ev.order[:n]
 }
 
+// shape encodes exactly what the simulator reads of a tree — per node in
+// pre-order, the kind, child count and service length as uvarints, then the
+// service — and returns the encoding with its 64-bit FNV-1a hash, the
+// fitness-cache key. The encoding lives in a scratch buffer, valid until
+// the next call; only the goroutine that owns the cache calls it.
+func (ev *Evaluator) shape(tree *plantree.Node) (uint64, []byte) {
+	ev.shapeBuf = appendShape(ev.shapeBuf[:0], tree)
+	h := uint64(14695981039346656037)
+	for _, b := range ev.shapeBuf {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	return h, ev.shapeBuf
+}
+
+func appendShape(dst []byte, n *plantree.Node) []byte {
+	dst = binary.AppendUvarint(dst, uint64(n.Kind))
+	dst = binary.AppendUvarint(dst, uint64(len(n.Children)))
+	dst = binary.AppendUvarint(dst, uint64(len(n.Service)))
+	dst = append(dst, n.Service...)
+	for _, c := range n.Children {
+		dst = appendShape(dst, c)
+	}
+	return dst
+}
+
 // evaluateOnly computes the fitness without touching the cache or the
 // evaluation counter; it is safe to call from multiple goroutines
 // concurrently (the problem and params are read-only).
@@ -121,46 +169,23 @@ func (ev *Evaluator) evaluateOnly(tree *plantree.Node) Evaluation {
 		fr = 0
 	}
 
-	// Collect decision points in pre-order.
-	var points []decisionPoint
-	for _, loc := range tree.Nodes() {
-		switch loc.Node.Kind {
-		case plantree.KindSelective:
-			if len(loc.Node.Children) > 1 {
-				points = append(points, decisionPoint{loc.Node, len(loc.Node.Children)})
-			}
-		case plantree.KindIterative:
-			if ev.params.MaxLoopUnroll > 1 {
-				points = append(points, decisionPoint{loc.Node, ev.params.MaxLoopUnroll})
-			}
-		case plantree.KindConcurrent:
-			// Concurrent children may run in any order; enumerating the
-			// forward and reverse orders catches most order dependencies.
-			if ev.params.StrictConcurrency && len(loc.Node.Children) > 1 {
-				points = append(points, decisionPoint{loc.Node, 2})
-			}
-		}
-	}
-
-	decisions := make(map[*plantree.Node]int, len(points))
-	odometer := make([]int, len(points))
+	sim := flowSim{ev: ev}
+	sim.collectPoints(tree)
+	sim.odometer = make([]int, len(sim.points))
 	totalValid, totalExecuted := 0, 0
 	goalSum, costSum, timeSum := 0.0, 0.0, 0.0
 	flows := 0
-	initial := workflow.ItemList(ev.problem.Initial.Items())
 	for {
-		for i, p := range points {
-			decisions[p.node] = odometer[i]
-		}
-		sim := flowSim{ev: ev, decisions: decisions}
-		items := sim.run(tree, initial)
+		sim.valid, sim.executed, sim.cost, sim.time = 0, 0, 0, 0
+		items := sim.run(tree, append(sim.items[:0], ev.initial...))
+		sim.items = items
 		totalValid += sim.valid
 		totalExecuted += sim.executed
 		goalSum += ev.goalFitness(items)
 		costSum += sim.cost
 		timeSum += sim.time
 		flows++
-		if flows >= ev.params.MaxFlows || !advance(odometer, points) {
+		if flows >= ev.params.MaxFlows || !sim.advance() {
 			break
 		}
 	}
@@ -188,53 +213,81 @@ func (ev *Evaluator) evaluateOnly(tree *plantree.Node) Evaluation {
 	return Evaluation{Fitness: f, FV: fv, FG: fg, FR: fr, Size: size, Flows: flows, Cost: cost, Time: nomTime}
 }
 
-// advance increments the odometer; it reports false on wrap-around.
-func advance(odometer []int, points []decisionPoint) bool {
-	for i := len(odometer) - 1; i >= 0; i-- {
-		odometer[i]++
-		if odometer[i] < points[i].domain {
-			return true
-		}
-		odometer[i] = 0
-	}
-	return false
-}
-
 // goalFitness evaluates Equation 2 with the pre-compiled goal conditions: a
 // condition is met if some data item, bound to the formal object G,
 // satisfies it.
 func (ev *Evaluator) goalFitness(items workflow.ItemList) float64 {
-	if len(ev.goals) == 0 {
+	total := len(ev.problem.Goal.Conditions)
+	if total == 0 {
 		return 1
 	}
-	met := 0
-	formals := map[string]*workflow.DataItem{}
-	b := workflow.Binding{Formals: formals, Base: items}
-	for _, g := range ev.goals {
-		for _, it := range items {
-			formals["G"] = it
-			if g.Eval(b) {
-				met++
-				break
-			}
-		}
-	}
-	return float64(met) / float64(len(ev.goals))
+	return float64(ev.goal.Met(items)) / float64(total)
 }
 
-// flowSim simulates one execution flow of a plan (the validity simulation of
-// Section 3.4.4): activities apply their service's pre- and postconditions
-// to the metadata state; invalid activities count against fv and leave the
-// state unchanged. The state is an append-only item list, so flows are
-// cheap: no cloning, only appends.
+// flowSim simulates the execution flows of one plan (the validity simulation
+// of Section 3.4.4): activities apply their service's pre- and
+// postconditions to the metadata state; invalid activities count against fv
+// and leave the state unchanged. The state is an append-only item list of
+// read-only items (valid activities append their services' shared output
+// templates), so a flow clones nothing. One flowSim serves every flow of an
+// evaluation: the binder, the item buffer and the decision odometer are
+// reused, and the counters reset per flow.
 type flowSim struct {
-	ev        *Evaluator
-	decisions map[*plantree.Node]int
-	valid     int
-	executed  int
-	seq       int
-	cost      float64 // nominal resource cost of valid activities
-	time      float64 // nominal run time of valid activities
+	ev       *Evaluator
+	binder   workflow.Binder
+	items    workflow.ItemList // the previous flow's state, reused as a buffer
+	points   []decisionPoint   // in pre-order
+	odometer []int             // the current flow's decision per point
+	valid    int
+	executed int
+	cost     float64 // nominal resource cost of valid activities
+	time     float64 // nominal run time of valid activities
+}
+
+// collectPoints records the tree's decision points in pre-order.
+func (fs *flowSim) collectPoints(n *plantree.Node) {
+	switch n.Kind {
+	case plantree.KindSelective:
+		if len(n.Children) > 1 {
+			fs.points = append(fs.points, decisionPoint{n, len(n.Children)})
+		}
+	case plantree.KindIterative:
+		if fs.ev.params.MaxLoopUnroll > 1 {
+			fs.points = append(fs.points, decisionPoint{n, fs.ev.params.MaxLoopUnroll})
+		}
+	case plantree.KindConcurrent:
+		// Concurrent children may run in any order; enumerating the
+		// forward and reverse orders catches most order dependencies.
+		if fs.ev.params.StrictConcurrency && len(n.Children) > 1 {
+			fs.points = append(fs.points, decisionPoint{n, 2})
+		}
+	}
+	for _, c := range n.Children {
+		fs.collectPoints(c)
+	}
+}
+
+// decision returns the current flow's choice at n (0 when n is not a
+// decision point). A node reachable twice takes its last point's choice.
+func (fs *flowSim) decision(n *plantree.Node) int {
+	for i := len(fs.points) - 1; i >= 0; i-- {
+		if fs.points[i].node == n {
+			return fs.odometer[i]
+		}
+	}
+	return 0
+}
+
+// advance increments the odometer; it reports false on wrap-around.
+func (fs *flowSim) advance() bool {
+	for i := len(fs.points) - 1; i >= 0; i-- {
+		fs.odometer[i]++
+		if fs.odometer[i] < fs.points[i].domain {
+			return true
+		}
+		fs.odometer[i] = 0
+	}
+	return false
 }
 
 func (fs *flowSim) run(n *plantree.Node, items workflow.ItemList) workflow.ItemList {
@@ -245,14 +298,13 @@ func (fs *flowSim) run(n *plantree.Node, items workflow.ItemList) workflow.ItemL
 		if svc == nil {
 			return items // unknown service: invalid activity
 		}
-		if _, ok := svc.BindItems(items); !ok {
+		if !fs.binder.Bind(svc, items) {
 			return items
 		}
 		fs.valid++
-		fs.seq++
 		fs.cost += svc.Cost
 		fs.time += svc.BaseTime
-		return append(items, svc.Produce(nil, fs.seq)...)
+		return append(items, svc.OutputTemplates()...)
 
 	case plantree.KindSequential:
 		for _, c := range n.Children {
@@ -263,7 +315,7 @@ func (fs *flowSim) run(n *plantree.Node, items workflow.ItemList) workflow.ItemL
 	case plantree.KindConcurrent:
 		// Decision 0 runs the children left to right, decision 1 right to
 		// left (StrictConcurrency); without strict mode only order 0 exists.
-		if fs.decisions[n] == 1 {
+		if fs.decision(n) == 1 {
 			for i := len(n.Children) - 1; i >= 0; i-- {
 				items = fs.run(n.Children[i], items)
 			}
@@ -278,14 +330,14 @@ func (fs *flowSim) run(n *plantree.Node, items workflow.ItemList) workflow.ItemL
 		if len(n.Children) == 0 {
 			return items
 		}
-		pick := fs.decisions[n]
+		pick := fs.decision(n)
 		if pick >= len(n.Children) {
 			pick = 0
 		}
 		return fs.run(n.Children[pick], items)
 
 	case plantree.KindIterative:
-		iters := fs.decisions[n] + 1 // decision d means d+1 iterations
+		iters := fs.decision(n) + 1 // decision d means d+1 iterations
 		for i := 0; i < iters; i++ {
 			for _, c := range n.Children {
 				items = fs.run(c, items)

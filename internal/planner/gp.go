@@ -99,12 +99,6 @@ func New(problem *workflow.Problem, params Params) (*GP, error) {
 	}, nil
 }
 
-// Run executes the full GP procedure without cancellation support.
-//
-// Deprecated: use RunContext. Run survives as a thin wrapper for the
-// experiment harness and older call sites.
-func (gp *GP) Run() (*Result, error) { return gp.RunContext(context.Background()) }
-
 // RunContext executes the procedure of Section 3.4.6: initialize, then for
 // each generation evaluate, select, cross over, and mutate; finally return
 // the highest-fitness plan seen in the last evaluated population. The
@@ -206,13 +200,11 @@ func (gp *GP) takeElites(pop []Individual) []Individual {
 }
 
 func (gp *GP) evaluateAll(ctx context.Context, pop []Individual) {
-	keys := make([]string, len(pop))
-	misses := make(map[string]*plantree.Node)
-	var missKeys []string
+	misses := make(map[uint64]*plantree.Node)
+	var missKeys []uint64
 	for i := range pop {
-		k := pop[i].Tree.String()
-		keys[i] = k
-		if _, ok := gp.eval.cache[k]; ok {
+		k, shape := gp.eval.shape(pop[i].Tree)
+		if _, ok := gp.eval.cached(k, shape); ok {
 			continue
 		}
 		if _, ok := misses[k]; !ok {
@@ -255,12 +247,14 @@ func (gp *GP) evaluateAll(ctx context.Context, pop []Individual) {
 	}
 	gp.eval.Evaluations += len(missKeys)
 	for i, k := range missKeys {
-		gp.eval.cacheAdd(k, results[i])
+		_, shape := gp.eval.shape(misses[k])
+		gp.eval.cacheAdd(k, shape, results[i])
 	}
 	for i := range pop {
-		e, ok := gp.eval.cache[keys[i]]
+		e, ok := gp.eval.cached(gp.eval.shape(pop[i].Tree))
 		if !ok {
-			// Only possible right after a cache trim evicted a prior hit.
+			// Only possible right after a cache trim evicted a prior hit, or
+			// for a tree whose hash collides with a different one.
 			e = gp.eval.Evaluate(pop[i].Tree)
 		}
 		pop[i].Eval = e
@@ -499,22 +493,14 @@ func Neighborhood(rng *rand.Rand, failed *plantree.Node, excluded map[string]boo
 	return seeds
 }
 
-// RunMany performs n independent GP runs with seeds seed, seed+1, ... and
-// returns the per-run results, reproducing the paper's 10-run protocol.
-//
-// Deprecated: use RunManyContext, which runs the same protocol through the
-// planning service (parallel across runs) and supports cancellation.
-func RunMany(problem *workflow.Problem, params Params, n int) ([]*Result, error) {
-	return RunManyContext(context.Background(), problem, params, n)
-}
-
 // RunManyContext performs n independent GP runs with seeds seed, seed+1,
-// ... through an ephemeral planning service, so independent runs execute
-// across the service worker pool, and returns the per-run results in run
-// order. Plan caching is disabled: every run is a cold plan.
+// ... and returns the per-run results in run order, reproducing the paper's
+// 10-run protocol. The runs go through an ephemeral planning service, so
+// independent runs execute across the service worker pool. Plan caching is
+// disabled: every run is a cold plan.
 func RunManyContext(ctx context.Context, problem *workflow.Problem, params Params, n int) ([]*Result, error) {
 	if n < 1 {
-		return nil, fmt.Errorf("planner: RunMany with n=%d", n)
+		return nil, fmt.Errorf("planner: RunManyContext with n=%d", n)
 	}
 	if err := problem.Validate(); err != nil {
 		return nil, err

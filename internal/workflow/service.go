@@ -3,6 +3,7 @@ package workflow
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/expr"
@@ -14,17 +15,6 @@ import (
 type ParamSpec struct {
 	Name      string
 	Condition string
-
-	once     sync.Once
-	compiled expr.Node
-	err      error
-}
-
-// compile parses the condition once and caches it. Services are shared by
-// concurrent dispatch batches, so the cache fill must be synchronized.
-func (p *ParamSpec) compile() (expr.Node, error) {
-	p.once.Do(func() { p.compiled, p.err = expr.Parse(p.Condition) })
-	return p.compiled, p.err
 }
 
 // OutputSpec describes one data item a service produces: the formal name and
@@ -47,17 +37,19 @@ type Service struct {
 	// reference node (speed 1.0); Cost is the spot-market cost per run.
 	BaseTime float64
 	Cost     float64
+
+	once     sync.Once
+	compiled *serviceCore
 }
 
-// Validate checks that every input condition parses.
+// Validate checks that the input formal names are distinct and every input
+// condition parses.
 func (s *Service) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("workflow: service with empty name")
 	}
-	for i := range s.Inputs {
-		if _, err := s.Inputs[i].compile(); err != nil {
-			return fmt.Errorf("workflow: service %s input %s: %w", s.Name, s.Inputs[i].Name, err)
-		}
+	if err := s.core().err; err != nil {
+		return err
 	}
 	for _, o := range s.Outputs {
 		if o.Name == "" {
@@ -95,62 +87,33 @@ func (s *Service) Bind(st *State) (map[string]*DataItem, bool) {
 	return s.BindItems(st.Items())
 }
 
-// BindItems is Bind over an explicit item list, tried in list order.
+// BindItems is Bind over an explicit item list, tried in list order. The
+// result map is built only on success.
 func (s *Service) BindItems(items ItemList) (map[string]*DataItem, bool) {
-	chosen := make(map[string]*DataItem, len(s.Inputs))
-	used := make(map[*DataItem]bool, len(s.Inputs))
-	env := Binding{Formals: chosen, Base: items}
-
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(s.Inputs) {
-			return true
-		}
-		p := &s.Inputs[i]
-		cond, err := p.compile()
-		if err != nil {
-			return false
-		}
-		for _, it := range items {
-			if used[it] {
-				continue
-			}
-			chosen[p.Name] = it
-			if cond.Eval(env) {
-				used[it] = true
-				if rec(i + 1) {
-					return true
-				}
-				used[it] = false
-			}
-			delete(chosen, p.Name)
-		}
-		return false
+	var b Binder
+	if !b.Bind(s, items) {
+		return nil, false
 	}
-	if rec(0) {
-		return chosen, true
+	chosen := make(map[string]*DataItem, len(b.slots))
+	for i, it := range b.slots {
+		chosen[s.Inputs[i].Name] = it
 	}
-	return nil, false
+	return chosen, true
 }
 
-// Produce builds the output items of one application. Output names are
-// taken from names (parallel to s.Outputs) when provided, otherwise
-// generated from seq.
+// Produce builds fresh, mutable output items of one application from the
+// service's output templates. Output names are taken from names (parallel
+// to s.Outputs) when provided, otherwise generated as
+// "<service>.<formal>.<seq>".
 func (s *Service) Produce(names []string, seq int) []*DataItem {
-	out := make([]*DataItem, len(s.Outputs))
-	for i, o := range s.Outputs {
-		name := ""
+	templates := s.core().templates
+	out := make([]*DataItem, len(templates))
+	for i, t := range templates {
+		item := t.Clone()
 		if i < len(names) && names[i] != "" {
-			name = names[i]
+			item.Name = names[i]
 		} else {
-			name = fmt.Sprintf("%s.%s.%d", s.Name, o.Name, seq)
-		}
-		item := &DataItem{Name: name, Props: make(map[string]expr.Value, len(o.Props)+1)}
-		for k, v := range o.Props {
-			item.Props[k] = v
-		}
-		if _, ok := item.Props[PropCreator]; !ok {
-			item.Props[PropCreator] = expr.String(s.Name)
+			item.Name = t.Name + "." + strconv.Itoa(seq)
 		}
 		out[i] = item
 	}
@@ -245,29 +208,30 @@ func (c *Catalog) Validate() error {
 // `G.Classification = "Resolution File"`).
 type Goal struct {
 	Conditions []string
+
+	check *GoalCheck // compiled by NewGoal
 }
 
-// NewGoal builds a goal from condition sources.
-func NewGoal(conditions ...string) Goal { return Goal{Conditions: conditions} }
+// NewGoal builds a goal from condition sources, compiling them once.
+func NewGoal(conditions ...string) Goal {
+	return Goal{Conditions: conditions, check: compileGoal(conditions)}
+}
+
+// Check returns the goal's compiled conditions: the ones NewGoal compiled,
+// or a fresh compilation for a goal built otherwise or edited since. A
+// condition that does not parse is never met.
+func (g Goal) Check() *GoalCheck {
+	if g.check.compiledFor(g.Conditions) {
+		return g.check
+	}
+	return compileGoal(g.Conditions)
+}
 
 // Satisfied returns how many of the goal conditions hold in st, and the
 // total number of conditions. A condition holds if at least one data item,
 // bound to the formal object "G", satisfies it.
 func (g Goal) Satisfied(st *State) (met, total int) {
-	total = len(g.Conditions)
-	for _, src := range g.Conditions {
-		node, err := expr.Parse(src)
-		if err != nil {
-			continue
-		}
-		for _, it := range st.Items() {
-			if node.Eval(Binding{Formals: map[string]*DataItem{"G": it}, Base: st}) {
-				met++
-				break
-			}
-		}
-	}
-	return met, total
+	return g.Check().Met(st.Items()), len(g.Conditions)
 }
 
 // Fitness returns the goal fitness fg of Equation 2: the fraction of goal

@@ -223,6 +223,7 @@ func TestServiceValidate(t *testing.T) {
 		{Name: ""},
 		{Name: "S", Inputs: []ParamSpec{{Name: "A", Condition: "((("}}},
 		{Name: "S", Outputs: []OutputSpec{{Name: ""}}},
+		{Name: "S", Inputs: []ParamSpec{{Name: "A", Condition: "A.x = 1"}, {Name: "A", Condition: "A.y = 2"}}},
 	} {
 		if err := s.Validate(); err == nil {
 			t.Errorf("service %+v: Validate() = nil, want error", s)

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # bench_guard.sh — fail when BenchmarkEnactOverhead regresses against the
-# committed baseline.
+# committed baseline, or when the planner's binding core allocates more than
+# its ceiling.
 #
 # The committed BENCH_<date>[suffix].json artifacts are `go test -json`
 # event streams of benchmark runs. This guard extracts the
@@ -15,6 +16,12 @@
 # scheduler contention only ever inflates a sample. When benchstat is on
 # PATH its comparison table is printed for the log; the pass/fail decision
 # itself is plain awk, so the guard works without benchstat too.
+#
+# The second gate is absolute: BenchmarkEvaluatePerfectPlan (one fitness
+# evaluation of the Table-1 plan through the compiled binding core) must
+# stay at or under ALLOCS_CEILING allocs/op. Allocation counts do not depend
+# on machine speed or load, so the ceiling holds on any runner; it is the
+# landed count, so any new allocation on the simulator's path fails.
 #
 # Usage: scripts/bench_guard.sh [baseline.json]
 #   COUNT=6 THRESHOLD_PCT=5 scripts/bench_guard.sh
@@ -91,4 +98,17 @@ awk -v oi="$old_instr" -v ob="$old_bare" -v ni="$new_instr" -v nb="$new_bare" \
         old, oi, ob, new, ni, nb, delta, pct
     exit (delta > pct + 0) ? 1 : 0
 }' || { echo "bench_guard: FAIL — instrumented overhead grew beyond ${THRESHOLD_PCT}%" >&2; exit 1; }
+ALLOCS_BENCH='BenchmarkEvaluatePerfectPlan'
+ALLOCS_CEILING=8
+echo "bench_guard: running $ALLOCS_BENCH (ceiling $ALLOCS_CEILING allocs/op) ..."
+go test -run '^$' -bench "^$ALLOCS_BENCH\$" -benchmem -count 1 ./internal/planner > "$tmp/allocs.txt"
+grep "^$ALLOCS_BENCH" "$tmp/allocs.txt" || true
+allocs=$(grep "^$ALLOCS_BENCH[ -]" "$tmp/allocs.txt" |
+    awk '{ for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") print $i }' | head -1)
+[ -n "$allocs" ] || { echo "bench_guard: $ALLOCS_BENCH produced no allocs/op" >&2; exit 1; }
+if [ "$allocs" -gt "$ALLOCS_CEILING" ]; then
+    echo "bench_guard: FAIL — $ALLOCS_BENCH allocates $allocs/op, ceiling $ALLOCS_CEILING" >&2
+    exit 1
+fi
+echo "bench_guard: $ALLOCS_BENCH $allocs allocs/op <= $ALLOCS_CEILING"
 echo "bench_guard: OK"
