@@ -5,27 +5,25 @@
 // Usage:
 //
 //	gridenv [-addr :8080] [-clusters 6] [-smps 3] [-supers 1] [-seed 1]
-//	        [-store mem:|file:DIR|bolt:PATH.db] [-store-batch N]
+//	        [-store mem:|file:DIR] [-store-batch N]
 //	        [-store-interval D] [-workers N] [-enact-delay D]
 //	        [-tenants alpha:3,beta:1] [-tenant-max-queued N]
 //	        [-tenant-max-inflight N] [-tenant-rate R] [-tenant-burst N]
 //	        [-node-id a -peers a=http://h1:8080,b=http://h2:8080]
 //	        [-log-level info] [-log-format text] [-pprof]
 //
-// -store selects the storage backend by DSN: "mem:" (volatile, the default),
-// "file:DIR" (append-only segmented log with rotation and compaction), or
-// "bolt:PATH.db" (embedded single-file KV). On the durable backends,
-// checkpoints, archived plans, and the enactment engine's write-ahead task
-// journal survive restarts with no explicit save step: journal appends are
-// group-committed (one fsync per batch; -store-batch bounds the batch,
+// -store selects the storage backend by DSN: "mem:" (volatile, the default)
+// or "file:DIR" (append-only segmented log with rotation and compaction). On
+// file:, checkpoints, archived plans, and the enactment engine's write-ahead
+// task journal survive restarts with no explicit save step: journal appends
+// are group-committed (one fsync per batch; -store-batch bounds the batch,
 // -store-interval adds an optional linger), and at startup the engine
 // replays the journal — tasks that were accepted but never started are
 // re-enqueued, tasks interrupted mid-enactment resume from their latest
-// checkpoint, and finished tasks stay queryable. A bare path (no scheme) is
-// the legacy mode: an in-memory store loaded from that JSON dump at startup
-// and saved back on SIGINT/SIGTERM. -workers sizes the engine's coordinator
-// worker pool (default: GOMAXPROCS); -enact-delay sleeps that long per
-// enacted activity, emulating remote service latency for load experiments.
+// checkpoint, and finished tasks stay queryable. -workers sizes the engine's
+// coordinator worker pool (default: GOMAXPROCS); -enact-delay sleeps that
+// long per enacted activity, emulating remote service latency for load
+// experiments.
 //
 // -tenants assigns fair-share weights (id:weight,...) to named tenants; the
 // -tenant-* flags set the default admission quotas — max queued tasks, max
@@ -72,14 +70,11 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -103,8 +98,8 @@ func main() {
 		smps      = flag.Int("smps", 3, "SMP nodes")
 		supers    = flag.Int("supers", 1, "supercomputers")
 		seed      = flag.Int64("seed", 1, "grid and planner seed")
-		storeDSN  = flag.String("store", "", "storage backend DSN: mem:, file:DIR, bolt:PATH.db (bare path = legacy JSON dump)")
-		storeBat  = flag.Int("store-batch", 0, "group-commit batch bound for durable backends (0 = default)")
+		storeDSN  = flag.String("store", "", "storage backend DSN: mem: or file:DIR")
+		storeBat  = flag.Int("store-batch", 0, "group-commit batch bound for file: (0 = default)")
 		storeIntv = flag.Duration("store-interval", 0, "group-commit linger interval (0 = flush when the flusher is free)")
 		workers   = flag.Int("workers", 0, "enactment worker pool size (0 = GOMAXPROCS)")
 		enactDel  = flag.Duration("enact-delay", 0, "emulated per-activity service latency (load experiments; 0 = none)")
@@ -147,19 +142,6 @@ func main() {
 type storeOptions struct {
 	dsn   string
 	flush store.FlushConfig
-}
-
-// split separates the DSN from the legacy bare-path form: a value with a
-// known scheme is a backend DSN; anything else is a JSON dump path handled
-// by the pre-DSN load/save flow on an in-memory backend.
-func (s storeOptions) split() (dsn, legacyDump string) {
-	switch {
-	case s.dsn == "":
-		return "", ""
-	case strings.HasPrefix(s.dsn, "mem:"), strings.HasPrefix(s.dsn, "file:"), strings.HasPrefix(s.dsn, "bolt:"):
-		return s.dsn, ""
-	}
-	return "", s.dsn
 }
 
 // clusterOptions carries the clustering flags into run.
@@ -255,14 +237,13 @@ func run(addr string, clusters, smps, supers int, seed int64, storeCfg storeOpti
 		}
 	}
 
-	dsn, legacyDump := storeCfg.split()
 	env, err := core.NewEnvironment(core.Options{
 		GridConfig:     &gridCfg,
 		Catalog:        virolab.Catalog(),
 		Planner:        params,
 		PostProcess:    post,
 		Checkpoint:     true,
-		StoreDSN:       dsn,
+		StoreDSN:       storeCfg.dsn,
 		StoreFlush:     storeCfg.flush,
 		Workers:        workers,
 		PlanWorkers:    planWorkers,
@@ -286,16 +267,7 @@ func run(addr string, clusters, smps, supers int, seed int64, storeCfg storeOpti
 		env.AttachCluster(node)
 	}
 
-	replay := dsn != "" && env.Store.Kind() != "mem"
-	if legacyDump != "" {
-		if err := env.Services.Storage.Load(legacyDump); err == nil {
-			fmt.Printf("loaded persistent storage from %s\n", legacyDump)
-			replay = true
-		} else if !errors.Is(err, fs.ErrNotExist) {
-			return err
-		}
-	}
-	if replay {
+	if env.Store.Kind() != "mem" {
 		// Clustered nodes sharing a replicated store replay only their own
 		// ring partition, so a restart does not steal live peers' tasks.
 		var own func(tenant, taskID string) bool
@@ -314,7 +286,7 @@ func run(addr string, clusters, smps, supers int, seed int64, storeCfg storeOpti
 				len(report.Requeued), len(report.Resumed), len(report.Restarted), report.Terminal)
 		}
 	}
-	if dsn != "" {
+	if storeCfg.dsn != "" {
 		fmt.Printf("storage backend: %s\n", env.Store.Kind())
 	}
 
@@ -341,11 +313,5 @@ func run(addr string, clusters, smps, supers int, seed int64, storeCfg storeOpti
 	case <-sig:
 	}
 	_ = server.Close()
-	if legacyDump != "" {
-		if err := env.Services.Storage.Save(legacyDump); err != nil {
-			return fmt.Errorf("saving storage: %w", err)
-		}
-		fmt.Printf("persistent storage saved to %s\n", legacyDump)
-	}
 	return nil
 }

@@ -62,12 +62,11 @@ type Options struct {
 	Checkpoint bool
 
 	// StoreDSN selects the storage backend behind the storage service and the
-	// engine's journal: "mem:" (volatile map), "file:DIR" (append-only
-	// segmented log), or "bolt:PATH" (embedded single-file KV). Empty means
-	// "mem:". Ignored when Store is set.
+	// engine's journal: "mem:" (volatile map) or "file:DIR" (append-only
+	// segmented log). Empty means "mem:". Ignored when Store is set.
 	StoreDSN string
 
-	// StoreFlush tunes group commit on durable backends: batch bound and
+	// StoreFlush tunes group commit on the file: backend: batch bound and
 	// optional linger interval (see store.FlushConfig).
 	StoreFlush store.FlushConfig
 
@@ -310,14 +309,6 @@ func (e *Environment) Close() {
 	if e.Store != nil {
 		_ = e.Store.Close()
 	}
-}
-
-// Submit enacts a task through the coordination service with the default
-// policy and no cancellation.
-//
-// Deprecated: use SubmitContext.
-func (e *Environment) Submit(task *workflow.Task) (*coordination.Report, error) {
-	return e.Coordinator.RunTaskContext(context.Background(), task, nil)
 }
 
 // SubmitContext enacts a task through the coordination service under the

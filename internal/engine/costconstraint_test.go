@@ -3,7 +3,6 @@ package engine_test
 import (
 	"encoding/json"
 	"math"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/coordination"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/store"
 	"repro/internal/workflow"
 )
 
@@ -77,7 +75,7 @@ func TestBudgetCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full crash/recovery cycle in -short mode")
 	}
-	for _, backend := range []string{"mem", "file", "bolt"} {
+	for _, backend := range []string{"mem", "file"} {
 		t.Run(backend, func(t *testing.T) { budgetCrashRecovery(t, backend) })
 	}
 }
@@ -105,19 +103,7 @@ func budgetCrashRecovery(t *testing.T, backend string) {
 	}
 	control.Close()
 
-	dir := t.TempDir()
-	var dsn1, dsn2, memSnap string
-	switch backend {
-	case "mem":
-		dsn1, dsn2 = "mem:", "mem:"
-		memSnap = filepath.Join(dir, "state.json")
-	case "file":
-		dsn1 = "file:" + filepath.Join(dir, "live")
-		dsn2 = "file:" + filepath.Join(dir, "crash")
-	case "bolt":
-		dsn1 = "bolt:" + filepath.Join(dir, "live.db")
-		dsn2 = "bolt:" + filepath.Join(dir, "crash.db")
-	}
+	dsn1, dsn2 := crashDSNs(backend, t.TempDir())
 
 	// First life: block at the second activity — checkpoint v1 (the POD
 	// batch, already charged) exists, batch two is in flight, unlogged.
@@ -143,19 +129,7 @@ func budgetCrashRecovery(t *testing.T, backend string) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("constrained task never reached its second activity")
 	}
-	if backend == "mem" {
-		if err := env1.Services.Storage.Save(memSnap); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		dc, ok := env1.Store.(store.DurableCopier)
-		if !ok {
-			t.Fatalf("%T does not implement store.DurableCopier", env1.Store)
-		}
-		if err := dc.CopyDurable(strings.TrimPrefix(dsn2, backend+":")); err != nil {
-			t.Fatal(err)
-		}
-	}
+	image := captureCrash(t, env1, dsn2)
 	close(crashed)
 	env1.Close()
 
@@ -165,13 +139,9 @@ func budgetCrashRecovery(t *testing.T, backend string) {
 		opts.Workers = 1
 		opts.Checkpoint = true
 		opts.StoreDSN = dsn2
+		opts.Store = image // nil for file:, which reopens dsn2
 		opts.PostProcess = func(*workflow.Activity, []*workflow.DataItem, int) { calls2.Add(1) }
 	})
-	if backend == "mem" {
-		if err := env2.Services.Storage.Load(memSnap); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	// The crash image must carry the constraint durably: the journaled
 	// envelope keeps the budget, and the checkpoint holds the spend already

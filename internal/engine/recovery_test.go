@@ -17,9 +17,9 @@ import (
 // per storage backend: a burst of tasks is submitted to a single-worker
 // engine with checkpointing on; the first task is stopped mid-enactment
 // (after its first checkpoint, inside its second dispatch batch) and the
-// crash state is captured — a JSON snapshot of the in-memory store, or the
-// fsynced on-disk prefix (CopyDurable) of the file and bolt backends, which
-// is exactly what a kill -9 leaves behind. A brand-new environment opens
+// crash state is captured — a copy of every key and version of the in-memory
+// store, or the fsynced on-disk prefix (CopyDurable) of the file backend,
+// which is exactly what a kill -9 leaves behind. A brand-new environment opens
 // that state, replays the journal, resumes the interrupted task from its
 // checkpoint, and re-enqueues the never-started ones. Every task must end
 // completed, no journal entry may stay non-terminal, and no activity past
@@ -29,25 +29,53 @@ func TestCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full crash/recovery cycle in -short mode")
 	}
-	for _, backend := range []string{"mem", "file", "bolt"} {
+	for _, backend := range []string{"mem", "file"} {
 		t.Run(backend, func(t *testing.T) { crashRecovery(t, backend) })
 	}
 }
 
-func crashRecovery(t *testing.T, backend string) {
-	dir := t.TempDir()
-	var dsn1, dsn2, memSnap string
-	switch backend {
-	case "mem":
-		dsn1, dsn2 = "mem:", "mem:"
-		memSnap = filepath.Join(dir, "state.json")
-	case "file":
-		dsn1 = "file:" + filepath.Join(dir, "live")
-		dsn2 = "file:" + filepath.Join(dir, "crash")
-	case "bolt":
-		dsn1 = "bolt:" + filepath.Join(dir, "live.db")
-		dsn2 = "bolt:" + filepath.Join(dir, "crash.db")
+// crashDSNs returns the live and crash-image DSNs for a backend rooted in
+// dir. The mem crash image is not opened by DSN but injected (captureCrash).
+func crashDSNs(backend, dir string) (live, crash string) {
+	if backend == "mem" {
+		return "mem:", "mem:"
 	}
+	return "file:" + filepath.Join(dir, "live"), "file:" + filepath.Join(dir, "crash")
+}
+
+// captureCrash takes what a kill -9 of env would leave behind and returns
+// the store the next life opens over it: for mem:, a fresh Memory holding a
+// copy of every key and version (nil otherwise — the next life opens
+// crashDSN); for file:, the fsynced on-disk prefix cloned to crashDSN.
+func captureCrash(t *testing.T, env *core.Environment, crashDSN string) store.Store {
+	t.Helper()
+	if dc, ok := env.Store.(store.DurableCopier); ok {
+		if err := dc.CopyDurable(strings.TrimPrefix(crashDSN, "file:")); err != nil {
+			t.Fatal(err)
+		}
+		return nil
+	}
+	image := store.NewMemory(store.Options{})
+	for _, key := range env.Store.Keys("") {
+		_, latest, _, err := env.Store.Get(key, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 1; v <= latest; v++ {
+			val, _, found, err := env.Store.Get(key, v)
+			if err != nil || !found {
+				t.Fatalf("copy %s v%d: found=%v err=%v", key, v, found, err)
+			}
+			if _, err := image.Put(key, val); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return image
+}
+
+func crashRecovery(t *testing.T, backend string) {
+	dsn1, dsn2 := crashDSNs(backend, t.TempDir())
 	ids := []string{"T-run", "T-q1", "T-q2", "T-q3"}
 
 	// First life. The hook blocks at the second activity of the first task:
@@ -78,21 +106,8 @@ func crashRecovery(t *testing.T, backend string) {
 		t.Fatal("first task never reached its second activity")
 	}
 	// Capture the crash state mid-enactment, then let the doomed environment
-	// unwind. The in-memory backend needs an explicit snapshot; the durable
-	// backends clone their fsynced prefix — the bytes a crash preserves.
-	if backend == "mem" {
-		if err := env1.Services.Storage.Save(memSnap); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		dc, ok := env1.Store.(store.DurableCopier)
-		if !ok {
-			t.Fatalf("%T does not implement store.DurableCopier", env1.Store)
-		}
-		if err := dc.CopyDurable(strings.TrimPrefix(dsn2, backend+":")); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// unwind.
+	image := captureCrash(t, env1, dsn2)
 	close(crashed)
 	env1.Close()
 
@@ -103,13 +118,9 @@ func crashRecovery(t *testing.T, backend string) {
 		opts.Workers = 1
 		opts.Checkpoint = true
 		opts.StoreDSN = dsn2
+		opts.Store = image // nil for file:, which reopens dsn2
 		opts.PostProcess = func(*workflow.Activity, []*workflow.DataItem, int) { calls2.Add(1) }
 	})
-	if backend == "mem" {
-		if err := env2.Services.Storage.Load(memSnap); err != nil {
-			t.Fatal(err)
-		}
-	}
 	report, err := env2.Engine.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -172,21 +183,18 @@ func crashRecovery(t *testing.T, backend string) {
 // TestRecoverIdempotent replays a journal of already-finished tasks: their
 // records are restored for lookups and nothing re-runs.
 func TestRecoverIdempotent(t *testing.T) {
-	store := filepath.Join(t.TempDir(), "state.json")
 	env1 := newEnv(t, func(opts *core.Options) { opts.Workers = 1 })
 	if _, err := env1.Engine.Submit(engine.Submission{Task: forkTask(t, "T-done"), Priority: engine.PriorityNormal}); err != nil {
 		t.Fatal(err)
 	}
 	waitTerminal(t, env1.Engine, "T-done")
-	if err := env1.Services.Storage.Save(store); err != nil {
-		t.Fatal(err)
-	}
+	image := captureCrash(t, env1, "mem:")
 	env1.Close()
 
-	env2 := newEnv(t, func(opts *core.Options) { opts.Workers = 1 })
-	if err := env2.Services.Storage.Load(store); err != nil {
-		t.Fatal(err)
-	}
+	env2 := newEnv(t, func(opts *core.Options) {
+		opts.Workers = 1
+		opts.Store = image
+	})
 	report, err := env2.Engine.Recover()
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -178,5 +179,46 @@ func TestFaultCrashTakesNodeDown(t *testing.T) {
 	// The untargeted node is unaffected.
 	if _, err := g.Execute("ac-n2", "S", 10, 0); err != nil {
 		t.Fatalf("n2 execution failed: %v", err)
+	}
+}
+
+// TestCrashUpRace runs crash-injecting executions (each repaired so the
+// next one crashes again) concurrently with lock-free Up() reads, the way
+// the monitoring service polls node state while coordinators enact. Under
+// -race an unsynchronised read of the node's up flag fails the test.
+func TestCrashUpRace(t *testing.T) {
+	g := faultGrid(t)
+	if err := g.SetFaults(&FaultSpec{Seed: 3, Nodes: []string{"n1"}, FailureRate: 1, CrashRate: 1}); err != nil {
+		t.Fatal(err)
+	}
+	n1 := g.Node("n1")
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					_ = n1.Up()
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := g.Execute("ac-n1", "S", 10, 0); err == nil || !strings.Contains(err.Error(), "crashed") {
+			t.Errorf("execution %d: want crash error, got %v", i, err)
+		}
+		if err := g.SetNodeUp("n1", true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if got := len(g.Crashes()); got != 200 {
+		t.Fatalf("crashes = %d, want 200", got)
 	}
 }

@@ -13,7 +13,7 @@ type batch struct {
 	err  error
 }
 
-// committer is the group-commit engine shared by the durable backends. A
+// committer is the group-commit engine behind the file backend. A
 // single flusher goroutine drains batches: it hands each batch's bytes to
 // the backend's flush function (write + fsync + post-processing such as
 // segment rotation), then releases every waiter at once. While a flush is in

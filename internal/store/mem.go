@@ -12,8 +12,7 @@ var errClosed = errors.New("store: closed")
 
 // Memory is the volatile backend: the versioned map the storage service has
 // always kept, now behind the Store interface. Mutations are immediate and
-// never fail; durability comes only from explicit dumps (services.Storage
-// Save/Load) — a crash loses everything since the last dump.
+// never fail; nothing survives a crash or restart (use file: for that).
 type Memory struct {
 	stats *counters
 

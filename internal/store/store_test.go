@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -27,13 +28,11 @@ func dsnFor(kind, dir string) string {
 		return "mem:"
 	case "file":
 		return "file:" + filepath.Join(dir, "segs")
-	case "bolt":
-		return "bolt:" + filepath.Join(dir, "kv.db")
 	}
 	panic("unknown kind " + kind)
 }
 
-var backends = []string{"mem", "file", "bolt"}
+var backends = []string{"mem", "file"}
 
 func TestRoundTrip(t *testing.T) {
 	for _, kind := range backends {
@@ -162,9 +161,9 @@ func TestReplace(t *testing.T) {
 // TestPutAsync pins the PutAsync contract on every backend: versions are
 // assigned in call order interleaved with synchronous mutations, the record
 // is durable once a later Sync (or Close) returns, and it survives reopen.
-// Read-your-writes timing deliberately stays unpinned — the file backend
-// updates its live map at enqueue while bolt publishes after the fsync — so
-// reads here only happen after a Sync barrier.
+// Read-your-writes timing deliberately stays unpinned (the file backend
+// updates its live map at enqueue, before the fsync), so reads here only
+// happen after a Sync barrier.
 func TestPutAsync(t *testing.T) {
 	for _, kind := range backends {
 		t.Run(kind, func(t *testing.T) {
@@ -213,39 +212,37 @@ func TestPutAsync(t *testing.T) {
 }
 
 func TestDurableReopen(t *testing.T) {
-	for _, kind := range []string{"file", "bolt"} {
-		t.Run(kind, func(t *testing.T) {
-			dir := t.TempDir()
-			s := openBackend(t, kind, dir, Options{})
-			for i := 0; i < 10; i++ {
-				if _, err := s.Put("k", []byte(fmt.Sprintf("v%d", i))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := s.Put("other", []byte("x")); err != nil {
+	t.Run("file", func(t *testing.T) {
+		dir := t.TempDir()
+		s := openBackend(t, "file", dir, Options{})
+		for i := 0; i < 10; i++ {
+			if _, err := s.Put("k", []byte(fmt.Sprintf("v%d", i))); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Delete("other"); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if _, err := s.Put("other", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Delete("other"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			s2 := openBackend(t, kind, dir, Options{})
-			defer s2.Close()
-			val, ver, found, err := s2.Get("k", 0)
-			if err != nil || !found || ver != 10 || string(val) != "v9" {
-				t.Fatalf("after reopen Get = (%q, %d, %v, %v)", val, ver, found, err)
-			}
-			if _, _, found, _ := s2.Get("other", 0); found {
-				t.Fatal("deleted key survived reopen")
-			}
-			if _, _, found, _ := s2.Get("k", 3); !found {
-				t.Fatal("old version lost on reopen")
-			}
-		})
-	}
+		s2 := openBackend(t, "file", dir, Options{})
+		defer s2.Close()
+		val, ver, found, err := s2.Get("k", 0)
+		if err != nil || !found || ver != 10 || string(val) != "v9" {
+			t.Fatalf("after reopen Get = (%q, %d, %v, %v)", val, ver, found, err)
+		}
+		if _, _, found, _ := s2.Get("other", 0); found {
+			t.Fatal("deleted key survived reopen")
+		}
+		if _, _, found, _ := s2.Get("k", 3); !found {
+			t.Fatal("old version lost on reopen")
+		}
+	})
 }
 
 func TestFileRotationAndCompaction(t *testing.T) {
@@ -296,46 +293,6 @@ func TestFileRotationAndCompaction(t *testing.T) {
 	}
 }
 
-func TestBoltCompaction(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{SegmentMaxBytes: 256, CompactAfterSegments: 2}
-	s, err := OpenBolt(filepath.Join(dir, "kv.db"), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := bytes.Repeat([]byte("y"), 64)
-	for i := 0; i < 100; i++ {
-		if _, err := s.Put("hot", payload); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Delete("hot"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.Put("keep", []byte("survivor")); err != nil {
-		t.Fatal(err)
-	}
-	if s.Stats().Compactions == 0 {
-		t.Fatal("no compaction ran")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := OpenBolt(filepath.Join(dir, "kv.db"), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	val, _, found, err := s2.Get("keep", 0)
-	if err != nil || !found || string(val) != "survivor" {
-		t.Fatalf("after compaction+reopen Get keep = (%q, %v, %v)", val, found, err)
-	}
-	if _, _, found, _ := s2.Get("hot", 0); found {
-		t.Fatal("deleted key resurrected by compaction")
-	}
-}
-
 func TestFileTornTailTruncated(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "segs")
 	s, err := OpenFile(dir, Options{})
@@ -371,47 +328,6 @@ func TestFileTornTailTruncated(t *testing.T) {
 		t.Fatal("torn record survived")
 	}
 	// The truncated store accepts writes again.
-	if _, err := s2.Put("b", []byte("after")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBoltTornTailTruncated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "kv.db")
-	s, err := OpenBolt(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Put("a", []byte("whole")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := encodeRecord(boltOpPut, "torn", []byte("partial-value"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(rec[:len(rec)-5]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	s2, err := OpenBolt(path, Options{})
-	if err != nil {
-		t.Fatalf("open with torn tail: %v", err)
-	}
-	defer s2.Close()
-	if _, _, found, _ := s2.Get("a", 0); !found {
-		t.Fatal("intact record lost with the torn tail")
-	}
-	if _, _, found, _ := s2.Get("torn", 0); found {
-		t.Fatal("torn record survived")
-	}
 	if _, err := s2.Put("b", []byte("after")); err != nil {
 		t.Fatal(err)
 	}
@@ -474,39 +390,37 @@ func TestClosedStoreRejectsWrites(t *testing.T) {
 }
 
 func TestOpenDSN(t *testing.T) {
-	for _, bad := range []string{"", "mem", "mem:extra", "file:", "bolt:", "redis:host"} {
+	for _, bad := range []string{"", "mem", "mem:extra", "file:", "redis:host"} {
 		if s, err := Open(bad, Options{}); err == nil {
 			s.Close()
 			t.Fatalf("Open(%q) succeeded", bad)
 		}
 	}
+	// An unknown scheme and a bare path fail with an error that names the
+	// supported schemes.
+	for _, retired := range []string{"bolt:/x.db", "state.json"} {
+		s, err := Open(retired, Options{})
+		if err == nil {
+			s.Close()
+			t.Fatalf("Open(%q) succeeded", retired)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "mem:") || !strings.Contains(msg, "file:") {
+			t.Errorf("Open(%q) error %q does not name mem: and file:", retired, msg)
+		}
+	}
 }
 
-// TestBackendEquivalence drives all three backends through the same random
-// op sequence — including reopens of the durable pair — and requires
-// observationally identical results throughout, with Memory as the reference
-// semantics.
+// TestBackendEquivalence drives the file backend through a random op
+// sequence — including reopens — and requires observationally identical
+// results throughout, with Memory as the reference semantics.
 func TestBackendEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
-	dirs := map[string]string{"file": t.TempDir(), "bolt": t.TempDir()}
+	dir := t.TempDir()
 	ref := NewMemory(Options{})
 	defer ref.Close()
 	opts := Options{SegmentMaxBytes: 1024, CompactAfterSegments: 2}
-	stores := map[string]Store{
-		"file": openBackend(t, "file", dirs["file"], opts),
-		"bolt": openBackend(t, "bolt", dirs["bolt"], opts),
-	}
-	defer func() {
-		for _, s := range stores {
-			s.Close()
-		}
-	}()
-	reopen := func(kind string) {
-		if err := stores[kind].Close(); err != nil {
-			t.Fatalf("close %s: %v", kind, err)
-		}
-		stores[kind] = openBackend(t, kind, dirs[kind], opts)
-	}
+	s := openBackend(t, "file", dir, opts)
+	defer func() { s.Close() }()
 
 	keys := []string{"journal/T-1", "journal/T-2", "checkpoint/T-1", "meta", "x"}
 	for step := 0; step < 400; step++ {
@@ -518,11 +432,8 @@ func TestBackendEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for kind, s := range stores {
-				ver, err := s.Put(key, val)
-				if err != nil || ver != wantVer {
-					t.Fatalf("step %d: %s Put(%q) = (%d, %v), want (%d, nil)", step, kind, key, ver, err, wantVer)
-				}
+			if ver, err := s.Put(key, val); err != nil || ver != wantVer {
+				t.Fatalf("step %d: Put(%q) = (%d, %v), want (%d, nil)", step, key, ver, err, wantVer)
 			}
 		case op < 7: // get random version (0 = latest)
 			_, maxVer, _, _ := ref.Get(key, 0)
@@ -531,24 +442,20 @@ func TestBackendEquivalence(t *testing.T) {
 				ver = 1 + rng.Intn(maxVer)
 			}
 			wantVal, wantVer, wantFound, _ := ref.Get(key, ver)
-			for kind, s := range stores {
-				val, gv, found, err := s.Get(key, ver)
-				if err != nil {
-					t.Fatalf("step %d: %s Get: %v", step, kind, err)
-				}
-				if found != wantFound || gv != wantVer || !bytes.Equal(val, wantVal) {
-					t.Fatalf("step %d: %s Get(%q, %d) = (%q, %d, %v), want (%q, %d, %v)",
-						step, kind, key, ver, val, gv, found, wantVal, wantVer, wantFound)
-				}
+			val, gv, found, err := s.Get(key, ver)
+			if err != nil {
+				t.Fatalf("step %d: Get: %v", step, err)
+			}
+			if found != wantFound || gv != wantVer || !bytes.Equal(val, wantVal) {
+				t.Fatalf("step %d: Get(%q, %d) = (%q, %d, %v), want (%q, %d, %v)",
+					step, key, ver, val, gv, found, wantVal, wantVer, wantFound)
 			}
 		case op < 8: // delete
 			if err := ref.Delete(key); err != nil {
 				t.Fatal(err)
 			}
-			for kind, s := range stores {
-				if err := s.Delete(key); err != nil {
-					t.Fatalf("step %d: %s Delete: %v", step, kind, err)
-				}
+			if err := s.Delete(key); err != nil {
+				t.Fatalf("step %d: Delete: %v", step, err)
 			}
 		case op < 9: // replace: history collapses to a single version 1
 			val := []byte(fmt.Sprintf("r%d-%d", step, rng.Int63()))
@@ -556,22 +463,19 @@ func TestBackendEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for kind, s := range stores {
-				ver, err := s.Replace(key, val)
-				if err != nil || ver != wantVer {
-					t.Fatalf("step %d: %s Replace(%q) = (%d, %v), want (%d, nil)", step, kind, key, ver, err, wantVer)
-				}
+			if ver, err := s.Replace(key, val); err != nil || ver != wantVer {
+				t.Fatalf("step %d: Replace(%q) = (%d, %v), want (%d, nil)", step, key, ver, err, wantVer)
 			}
 		case op < 10: // list
 			want := ref.Keys("journal/")
-			for kind, s := range stores {
-				if got := s.Keys("journal/"); !reflect.DeepEqual(got, want) {
-					t.Fatalf("step %d: %s Keys = %v, want %v", step, kind, got, want)
-				}
+			if got := s.Keys("journal/"); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: Keys = %v, want %v", step, got, want)
 			}
-		default: // reopen a durable backend: state must survive
-			kind := []string{"file", "bolt"}[rng.Intn(2)]
-			reopen(kind)
+		default: // reopen: state must survive
+			if err := s.Close(); err != nil {
+				t.Fatalf("step %d: close: %v", step, err)
+			}
+			s = openBackend(t, "file", dir, opts)
 		}
 	}
 	// Final full-state comparison.
@@ -579,11 +483,9 @@ func TestBackendEquivalence(t *testing.T) {
 		_, maxVer, _, _ := ref.Get(key, 0)
 		for v := 1; v <= maxVer; v++ {
 			wantVal, _, _, _ := ref.Get(key, v)
-			for kind, s := range stores {
-				val, _, found, err := s.Get(key, v)
-				if err != nil || !found || !bytes.Equal(val, wantVal) {
-					t.Fatalf("final: %s Get(%q, %d) = (%q, %v, %v), want %q", kind, key, v, val, found, err, wantVal)
-				}
+			val, _, found, err := s.Get(key, v)
+			if err != nil || !found || !bytes.Equal(val, wantVal) {
+				t.Fatalf("final: Get(%q, %d) = (%q, %v, %v), want %q", key, v, val, found, err, wantVal)
 			}
 		}
 	}
@@ -592,84 +494,71 @@ func TestBackendEquivalence(t *testing.T) {
 // TestCopyDurableIsConsistent asserts the clone a mid-write CopyDurable
 // produces always opens cleanly and contains every acknowledged write.
 func TestCopyDurableIsConsistent(t *testing.T) {
-	for _, kind := range []string{"file", "bolt"} {
-		t.Run(kind, func(t *testing.T) {
-			dir := t.TempDir()
-			s := openBackend(t, kind, dir, Options{SegmentMaxBytes: 512, CompactAfterSegments: 2})
-			defer s.Close()
+	t.Run("file", func(t *testing.T) {
+		dir := t.TempDir()
+		s := openBackend(t, "file", dir, Options{SegmentMaxBytes: 512, CompactAfterSegments: 2})
+		defer s.Close()
 
-			var acked sync.Map
-			var wg sync.WaitGroup
-			stop := make(chan struct{})
-			for w := 0; w < 4; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 0; ; i++ {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						key := fmt.Sprintf("w%d-%d", w, i)
-						if _, err := s.Put(key, []byte("payload")); err != nil {
-							return
-						}
-						acked.Store(key, true)
+		var acked sync.Map
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
 					}
-				}(w)
-			}
+					key := fmt.Sprintf("w%d-%d", w, i)
+					if _, err := s.Put(key, []byte("payload")); err != nil {
+						return
+					}
+					acked.Store(key, true)
+				}
+			}(w)
+		}
 
-			// Take crash images while writes are in flight.
-			clone := filepath.Join(t.TempDir(), "clone")
-			for i := 0; i < 5; i++ {
-				target := fmt.Sprintf("%s-%d", clone, i)
-				if err := s.(DurableCopier).CopyDurable(target); err != nil {
-					t.Errorf("CopyDurable: %v", err)
-				}
+		// Take crash images while writes are in flight.
+		clone := filepath.Join(t.TempDir(), "clone")
+		for i := 0; i < 5; i++ {
+			target := fmt.Sprintf("%s-%d", clone, i)
+			if err := s.(DurableCopier).CopyDurable(target); err != nil {
+				t.Errorf("CopyDurable: %v", err)
 			}
-			close(stop)
-			wg.Wait()
+		}
+		close(stop)
+		wg.Wait()
 
-			// The final image (taken after all writes are acked) must hold
-			// every acknowledged key.
-			final := clone + "-final"
-			if err := s.(DurableCopier).CopyDurable(final); err != nil {
-				t.Fatal(err)
+		// The final image (taken after all writes are acked) must hold
+		// every acknowledged key.
+		final := clone + "-final"
+		if err := s.(DurableCopier).CopyDurable(final); err != nil {
+			t.Fatal(err)
+		}
+		c, err := OpenFile(final, Options{})
+		if err != nil {
+			t.Fatalf("open crash image: %v", err)
+		}
+		defer c.Close()
+		acked.Range(func(k, _ any) bool {
+			if _, _, found, _ := c.Get(k.(string), 0); !found {
+				t.Errorf("acked key %s missing from crash image", k)
+				return false
 			}
-			var c Store
-			var err error
-			if kind == "file" {
-				c, err = OpenFile(final, Options{})
-			} else {
-				c, err = OpenBolt(final, Options{})
-			}
-			if err != nil {
-				t.Fatalf("open crash image: %v", err)
-			}
-			defer c.Close()
-			acked.Range(func(k, _ any) bool {
-				if _, _, found, _ := c.Get(k.(string), 0); !found {
-					t.Errorf("acked key %s missing from crash image", k)
-					return false
-				}
-				return true
-			})
-
-			// Mid-flight images must at least open and replay cleanly.
-			for i := 0; i < 5; i++ {
-				target := fmt.Sprintf("%s-%d", clone, i)
-				var mid Store
-				if kind == "file" {
-					mid, err = OpenFile(target, Options{})
-				} else {
-					mid, err = OpenBolt(target, Options{})
-				}
-				if err != nil {
-					t.Fatalf("open mid-flight image %d: %v", i, err)
-				}
-				mid.Close()
-			}
+			return true
 		})
-	}
+
+		// Mid-flight images must at least open and replay cleanly.
+		for i := 0; i < 5; i++ {
+			target := fmt.Sprintf("%s-%d", clone, i)
+			mid, err := OpenFile(target, Options{})
+			if err != nil {
+				t.Fatalf("open mid-flight image %d: %v", i, err)
+			}
+			mid.Close()
+		}
+	})
 }
