@@ -129,8 +129,11 @@ func (gp *GP) RunContext(ctx context.Context) (*Result, error) {
 		}
 		stats := summarize(gen, pop)
 		res.History = append(res.History, stats)
+		binds, hits := gp.eval.takeSimCounts()
 		if tel := gp.tel; tel != nil {
 			tel.Counter("planner.generations").Inc()
+			tel.Counter("planner.sim.binds").Add(binds)
+			tel.Counter("planner.sim.memo_hits").Add(hits)
 			tel.Gauge("planner.last.best_fitness").Set(stats.BestFitness)
 			tel.Gauge("planner.last.mean_fitness").Set(stats.MeanFitness)
 			tel.Histogram("planner.generation.best_fitness",
@@ -175,10 +178,6 @@ func (gp *GP) RunContext(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// evaluateAll scores the population, computing each distinct tree once and
-// fanning the cache misses out over the available cores. Results are
-// independent of evaluation order, so parallelism does not affect
-// determinism.
 // takeElites clones the top-k individuals of the evaluated population.
 func (gp *GP) takeElites(pop []Individual) []Individual {
 	k := gp.params.Elites
@@ -199,6 +198,10 @@ func (gp *GP) takeElites(pop []Individual) []Individual {
 	return elites
 }
 
+// evaluateAll scores the population, computing each distinct tree once and
+// fanning the cache misses out over the evaluation workers, each with its
+// own simulator. Results are independent of evaluation order and of which
+// worker scored a tree, so parallelism does not affect determinism.
 func (gp *GP) evaluateAll(ctx context.Context, pop []Individual) {
 	misses := make(map[uint64]*plantree.Node)
 	var missKeys []uint64
@@ -215,10 +218,11 @@ func (gp *GP) evaluateAll(ctx context.Context, pop []Individual) {
 
 	results := make([]Evaluation, len(missKeys))
 	workers := gp.evalWorkers(len(missKeys))
+	sims := gp.eval.simulators(workers)
 	if workers > 1 {
 		var next atomic.Int64
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for _, sim := range sims {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -227,7 +231,7 @@ func (gp *GP) evaluateAll(ctx context.Context, pop []Individual) {
 					if i >= len(missKeys) {
 						return
 					}
-					results[i] = gp.eval.evaluateOnly(misses[missKeys[i]])
+					results[i] = sim.evaluate(misses[missKeys[i]])
 				}
 			}()
 		}
@@ -237,7 +241,7 @@ func (gp *GP) evaluateAll(ctx context.Context, pop []Individual) {
 			if ctx.Err() != nil {
 				break
 			}
-			results[i] = gp.eval.evaluateOnly(misses[k])
+			results[i] = sims[0].evaluate(misses[k])
 		}
 	}
 	if ctx.Err() != nil {
@@ -293,9 +297,20 @@ func summarize(gen int, pop []Individual) GenStats {
 	}
 }
 
-// selectPop forms the next generation (Section 3.4.5).
+// selectPop forms the next generation (Section 3.4.5). The old population
+// is dead once selection ends, so the first time an individual wins, the
+// next generation takes its tree; only repeat winners are cloned.
 func (gp *GP) selectPop(pop []Individual) []Individual {
 	next := make([]Individual, len(pop))
+	taken := make([]bool, len(pop))
+	take := func(i int) Individual {
+		ind := pop[i]
+		if taken[i] {
+			ind.Tree = ind.Tree.Clone()
+		}
+		taken[i] = true
+		return ind
+	}
 	switch gp.params.Selection {
 	case SelectRoulette:
 		total := 0.0
@@ -303,33 +318,33 @@ func (gp *GP) selectPop(pop []Individual) []Individual {
 			total += ind.Eval.Fitness
 		}
 		for i := range next {
-			pick := pop[len(pop)-1]
+			pick := len(pop) - 1
 			if total > 0 {
 				r := gp.rng.Float64() * total
 				acc := 0.0
-				for _, ind := range pop {
+				for j, ind := range pop {
 					acc += ind.Eval.Fitness
 					if acc >= r {
-						pick = ind
+						pick = j
 						break
 					}
 				}
 			} else {
-				pick = pop[gp.rng.Intn(len(pop))]
+				pick = gp.rng.Intn(len(pop))
 			}
-			next[i] = Individual{Tree: pick.Tree.Clone(), Eval: pick.Eval}
+			next[i] = take(pick)
 		}
 	default: // tournament
 		k := gp.params.TournamentSize
 		for i := range next {
-			winner := pop[gp.rng.Intn(len(pop))]
+			winner := gp.rng.Intn(len(pop))
 			for j := 1; j < k; j++ {
-				challenger := pop[gp.rng.Intn(len(pop))]
-				if challenger.Eval.Fitness > winner.Eval.Fitness {
+				challenger := gp.rng.Intn(len(pop))
+				if pop[challenger].Eval.Fitness > pop[winner].Eval.Fitness {
 					winner = challenger
 				}
 			}
-			next[i] = Individual{Tree: winner.Tree.Clone(), Eval: winner.Eval}
+			next[i] = take(winner)
 		}
 	}
 	return next
@@ -389,11 +404,18 @@ func Mutate(rng *rand.Rand, tree *plantree.Node, services []string, rate float64
 		return 0
 	}
 	applied := 0
-	// Collect nodes first; mutating while walking would visit fresh nodes.
-	for _, loc := range tree.Nodes() {
+	// One draw per node of the tree as it was before any mutation, in
+	// pre-order; mutating while walking would visit fresh nodes. Until the
+	// first hit the tree is unchanged, so the node list is built only then.
+	var nodes []plantree.Located
+	for i, size := 0, tree.Size(); i < size; i++ {
 		if rng.Float64() >= rate {
 			continue
 		}
+		if nodes == nil {
+			nodes = tree.Nodes()
+		}
+		loc := nodes[i]
 		budget := smax - (tree.Size() - loc.Node.Size())
 		if budget < 1 {
 			continue

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/plantree"
+	"repro/internal/virolab"
 	"repro/internal/workflow"
 )
 
@@ -498,7 +499,26 @@ func BenchmarkEvaluatePerfectPlan(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ev.cache = map[uint64]cacheEntry{} // force real evaluation
+		ev.sims[0].resetMemo()             // and real binding
 		ev.Evaluate(tree)
+	}
+}
+
+// BenchmarkGPRunSerial is one Table-1 GP run (virolab problem, seed 1) on a
+// single evaluation worker, so its allocation count does not depend on the
+// machine; scripts/bench_guard.sh gates its allocs/op.
+func BenchmarkGPRunSerial(b *testing.B) {
+	p := DefaultParams()
+	p.EvalWorkers = 1
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		gp, err := New(virolab.Problem(), p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := gp.RunContext(context.Background()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -213,10 +213,29 @@ func (n *Node) Nodes() []Located {
 	return out
 }
 
-// At returns the i-th node in pre-order.
+// At returns the i-th node in pre-order, Nodes()[i], descending to it
+// without building the node list. It panics when i is out of range.
 func (n *Node) At(i int) Located {
-	nodes := n.Nodes()
-	return nodes[i]
+	if i < 0 {
+		panic(fmt.Sprintf("plantree: At(%d) out of range", i))
+	}
+	loc := Located{Node: n, Index: -1}
+	for skip := i; skip > 0; {
+		skip-- // loc.Node itself
+		found := false
+		for ci, c := range loc.Node.Children {
+			if s := c.Size(); skip >= s {
+				skip -= s
+				continue
+			}
+			loc, found = Located{Node: c, Parent: loc.Node, Index: ci}, true
+			break
+		}
+		if !found {
+			panic(fmt.Sprintf("plantree: At(%d) out of range", i))
+		}
+	}
+	return loc
 }
 
 // Validate checks the structural invariants of plan trees: controller nodes

@@ -144,3 +144,28 @@ func TestQuickToProcessStructure(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: At(i) is the i-th entry of Nodes() for every i, on seeded random
+// trees of every size up to 60, and it panics out of range.
+func TestAtMatchesNodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 300; trial++ {
+		tree := Random(rng, services, 1+trial%60)
+		nodes := tree.Nodes()
+		for i, want := range nodes {
+			if got := tree.At(i); got != want {
+				t.Fatalf("tree %s: At(%d) = %+v, want %+v", tree, i, got, want)
+			}
+		}
+		for _, i := range []int{-1, len(nodes)} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("tree %s: At(%d) did not panic", tree, i)
+					}
+				}()
+				tree.At(i)
+			}()
+		}
+	}
+}
