@@ -103,7 +103,7 @@ func TestEvaluateCacheCollisionIsAMiss(t *testing.T) {
 	}
 	ev := gp.eval
 	tree := perfectPlan()
-	want := ev.evaluateOnly(tree)
+	want := ev.sims[0].evaluate(tree)
 	key, _ := ev.shape(tree)
 	_, other := ev.shape(plantree.Activity("POD"))
 	fake := Evaluation{Fitness: -1}
